@@ -91,10 +91,12 @@ test:
 # race exercises the persistent worker pool, panel recycling, and the
 # parallel blocked/tiled paths under the race detector, plus the public
 # API package, the exact-reduction accumulator (whose server folds shard
-# across goroutines), and the mfserve stack (wire framing, batching
-# server incl. the e2e loopback parity tests, pooled client).
+# across goroutines), the shared connection-server core (its lifecycle
+# tests race dials against Shutdown on both daemons), and the mfserve
+# stack (wire framing, batching server incl. the e2e loopback parity
+# tests, pooled client, proxy).
 race:
-	$(GO) test -race ./internal/blas/ ./internal/exact/ ./mf/ ./serve/...
+	$(GO) test -race ./internal/blas/ ./internal/exact/ ./internal/wiresrv/ ./mf/ ./serve/...
 
 # fuzz-smoke gives each native fuzz target a short budget (the go fuzzer
 # accepts one target per invocation). CI runs this on every push; longer

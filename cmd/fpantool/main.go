@@ -7,7 +7,8 @@
 //	fpantool verify [-n add3] [-cases N] [-strict]
 //	                               # adversarial verification (paper §3 substitute)
 //	fpantool search [-n 2] [-iters N] [-seed S]
-//	                               # simulated-annealing FPAN discovery (paper §4.1)
+//	                               # simulated-annealing FPAN discovery (paper §4.1);
+//	                               # prints the winner's diagram and Go-literal gate list
 //	fpantool enumerate [-cases N]  # 2-term optimality evidence (E-Opt2)
 //	fpantool fig1                  # expansion decomposition illustration (Fig. 1)
 package main
@@ -101,6 +102,11 @@ func main() {
 		}
 		fmt.Printf("\nbest verified network: %s\n", res.Best)
 		fmt.Println(fpan.Diagram(res.Best))
+		// The gate list as a Go literal, the form internal/fpan/discovered.go records.
+		fmt.Printf("size %d depth %d outputs %v\n", res.Best.Size(), res.Best.Depth(), res.Best.Outputs)
+		for _, g := range res.Best.Gates {
+			fmt.Printf("{%v, %d, %d},\n", g.Kind, g.A, g.B)
+		}
 	case "enumerate":
 		fs := flag.NewFlagSet("enumerate", flag.ExitOnError)
 		cases := fs.Int("cases", 20000, "verification cases per candidate")

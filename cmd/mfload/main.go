@@ -527,6 +527,31 @@ func summarize(t *tally, cfg loadConfig, elapsed time.Duration) *loadResult {
 	}
 }
 
+// startDaemon binds an in-process server or proxy and runs its accept
+// loop; stopDaemon drains it. Either fails the run on any error.
+func startDaemon(name string, d interface {
+	Listen() error
+	Serve() error
+}) chan error {
+	if err := d.Listen(); err != nil {
+		log.Fatalf("mfload: %s listen: %v", name, err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- d.Serve() }()
+	return done
+}
+
+func stopDaemon(name string, d interface{ Shutdown(context.Context) error }, done chan error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		log.Fatalf("mfload: %s shutdown: %v", name, err)
+	}
+	if err := <-done; err != nil {
+		log.Fatalf("mfload: %s serve: %v", name, err)
+	}
+}
+
 // runCompare measures the batching win: the same load against an
 // in-process server with coalescing on, then one pinned to
 // one-request-per-batch. Everything else (kernels, pool, wire, loopback
@@ -538,24 +563,13 @@ func runCompare(cfg loadConfig, outFile string, gate bool) {
 	runLeg := func(name string, scfg server.Config, legCfg loadConfig) *loadResult {
 		scfg.Addr = "127.0.0.1:0"
 		s := server.New(scfg)
-		if err := s.Listen(); err != nil {
-			log.Fatalf("mfload: %s listen: %v", name, err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- s.Serve() }()
+		done := startDaemon(name, s)
 		legCfg.addrs = []string{s.Addr().String()}
 		res, err := runLoad(legCfg)
 		if err != nil {
 			log.Fatalf("mfload: %s leg: %v", name, err)
 		}
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(sctx); err != nil {
-			log.Fatalf("mfload: %s shutdown: %v", name, err)
-		}
-		if err := <-done; err != nil {
-			log.Fatalf("mfload: %s serve: %v", name, err)
-		}
+		stopDaemon(name, s, done)
 		snap := s.Stats().Snapshot()
 		if snap.Batches > 0 {
 			log.Printf("mfload: %s leg: %.0f req/s, mean batch occupancy %.1f",
@@ -622,24 +636,7 @@ func runCompare(cfg loadConfig, outFile string, gate bool) {
 func runProxyCompare(cfg loadConfig, outFile string, gate bool) {
 	startBackend := func() (*server.Server, chan error) {
 		s := server.New(server.Config{Addr: "127.0.0.1:0"})
-		if err := s.Listen(); err != nil {
-			log.Fatalf("mfload: backend listen: %v", err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- s.Serve() }()
-		return s, done
-	}
-	stop := func(name string, shut interface {
-		Shutdown(context.Context) error
-	}, done chan error) {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := shut.Shutdown(ctx); err != nil {
-			log.Fatalf("mfload: %s shutdown: %v", name, err)
-		}
-		if err := <-done; err != nil {
-			log.Fatalf("mfload: %s serve: %v", name, err)
-		}
+		return s, startDaemon("backend", s)
 	}
 	runLeg := func(name, addr string) *loadResult {
 		legCfg := cfg
@@ -659,12 +656,7 @@ func runProxyCompare(cfg loadConfig, outFile string, gate bool) {
 		if err != nil {
 			log.Fatalf("mfload: proxy: %v", err)
 		}
-		if err := p.Listen(); err != nil {
-			log.Fatalf("mfload: proxy listen: %v", err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- p.Serve() }()
-		return p, done
+		return p, startDaemon("proxy", p)
 	}
 
 	s1, d1 := startBackend()
@@ -674,15 +666,15 @@ func runProxyCompare(cfg loadConfig, outFile string, gate bool) {
 
 	pCold, pcDone := startProxy(-1, s1.Addr().String(), s2.Addr().String())
 	passthrough := runLeg("proxy-passthrough", pCold.Addr().String())
-	stop("proxy-passthrough", pCold, pcDone)
+	stopDaemon("proxy-passthrough", pCold, pcDone)
 
 	pHot, phDone := startProxy(0 /* default budget */, s1.Addr().String(), s2.Addr().String())
 	hot := runLeg("proxy-hot", pHot.Addr().String())
 	hotSnap := pHot.Stats().Snapshot()
-	stop("proxy-hot", pHot, phDone)
+	stopDaemon("proxy-hot", pHot, phDone)
 
-	stop("backend-1", s1, d1)
-	stop("backend-2", s2, d2)
+	stopDaemon("backend-1", s1, d1)
+	stopDaemon("backend-2", s2, d2)
 
 	cacheSpeedup := 0.0
 	if passthrough.ThroughputRPS > 0 {

@@ -24,18 +24,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	_ "net/http/pprof" // registered on the default mux, served via -debug-addr
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"multifloats/internal/wiresrv"
 	"multifloats/serve/proxy"
 )
 
@@ -91,38 +87,13 @@ func main() {
 	log.Printf("mfproxy: listening on %s in front of %d backends (cache=%dB shards=%d load-factor=%.2f)",
 		p.Addr(), len(addrs), *cacheBytes, *reduceShards, *loadFactor)
 
-	if *debugAddr != "" {
-		go func() {
-			log.Printf("mfproxy: debug HTTP on http://%s/debug/vars and /debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				log.Printf("mfproxy: debug HTTP: %v", err)
-			}
-		}()
+	drained, err := wiresrv.Main("mfproxy", p, *debugAddr, *drainTimeout)
+	if err != nil {
+		log.Fatalf("mfproxy: %v", err)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- p.Serve() }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("mfproxy: %v — draining (budget %v)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := p.Shutdown(ctx)
-		cancel()
-		if serveErr := <-errc; serveErr != nil {
-			log.Printf("mfproxy: serve: %v", serveErr)
-		}
-		if err != nil {
-			log.Fatalf("mfproxy: drain incomplete: %v", err)
-		}
+	if drained {
 		snap := p.Stats().Snapshot()
 		fmt.Printf("mfproxy: drained cleanly — %d requests, %d cache hits / %d misses, %d failovers, %d ejections, %d reshards\n",
 			snap.Requests, snap.CacheHits, snap.CacheMisses, snap.Failovers, snap.Ejections, snap.Reshards)
-	case err := <-errc:
-		if err != nil {
-			log.Fatalf("mfproxy: %v", err)
-		}
 	}
 }

@@ -18,18 +18,14 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	_ "net/http/pprof" // registered on the default mux, served via -debug-addr
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"multifloats/internal/blas"
+	"multifloats/internal/wiresrv"
 	"multifloats/serve/server"
 )
 
@@ -64,42 +60,14 @@ func main() {
 	log.Printf("mfserved: listening on %s (batch-window=%v max-batch=%d queue=%d workers=%d)",
 		s.Addr(), *batchWindow, *maxBatch, *queueDepth, *workers)
 
-	if *debugAddr != "" {
-		// expvar's init registers /debug/vars on the default mux; the pprof
-		// import registers /debug/pprof/*. One listener serves both.
-		go func() {
-			log.Printf("mfserved: debug HTTP on http://%s/debug/vars and /debug/pprof/", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				log.Printf("mfserved: debug HTTP: %v", err)
-			}
-		}()
+	drained, err := wiresrv.Main("mfserved", s, *debugAddr, *drainTimeout)
+	blas.ClosePool()
+	if err != nil {
+		log.Fatalf("mfserved: %v", err)
 	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- s.Serve() }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("mfserved: %v — draining (budget %v)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		err := s.Shutdown(ctx)
-		cancel()
-		if serveErr := <-errc; serveErr != nil {
-			log.Printf("mfserved: serve: %v", serveErr)
-		}
-		blas.ClosePool()
-		if err != nil {
-			log.Fatalf("mfserved: drain incomplete: %v", err)
-		}
+	if drained {
 		snap := s.Stats().Snapshot()
 		fmt.Printf("mfserved: drained cleanly — %d requests, %d batches (%d reqs coalesced), %d overloads, %d deadline misses\n",
 			snap.Requests, snap.Batches, snap.BatchedReqs, snap.Overloads, snap.DeadlineMisses)
-	case err := <-errc:
-		blas.ClosePool()
-		if err != nil {
-			log.Fatalf("mfserved: %v", err)
-		}
 	}
 }

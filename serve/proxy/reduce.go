@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"multifloats/internal/exact"
+	"multifloats/internal/wiresrv"
 	"multifloats/serve/client"
 	"multifloats/serve/wire"
 )
@@ -31,10 +32,6 @@ import (
 // loudly with a retryable status and the downstream client's
 // whole-stream retry is the backstop. A completed response is never
 // built from a partial fold.
-
-// maxOpenReductions caps concurrent reduction streams per downstream
-// connection, as in serve/server.
-const maxOpenReductions = 256
 
 // errReduceFailover: a shard died and could not be resharded (budget
 // exhausted, or no backend left to replay to). Surfaced downstream as
@@ -87,28 +84,20 @@ func shardHash(id uint64, shard int) uint64 {
 func (c *pxConn) handleReduce(req *wire.Request) error {
 	fail := func(status wire.Status, retryMs uint32) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
-		if len(c.reds) >= maxOpenReductions {
-			c.p.stats.protoErr()
+		if len(c.reds) >= wiresrv.MaxOpenReductions {
+			c.p.stats.ProtocolError()
 			return fail(wire.StatusBadRequest, 0)
 		}
-		ctx := c.p.baseCtx
-		cancel := context.CancelFunc(func() {})
-		if !req.Deadline.IsZero() {
-			ctx, cancel = context.WithDeadline(ctx, req.Deadline)
-		}
-		nshards := c.p.cfg.ReduceShards
-		if nshards < 1 {
-			nshards = 1
-		}
+		ctx, cancel := c.RequestContext(req)
 		red = &pxReduce{
 			op: req.Op, width: req.Width, hops: req.Hops + 1,
 			ctx: ctx, cancel: cancel,
-			shards:     make([]*pxShard, nshards),
+			shards:     make([]*pxShard, c.p.cfg.ReduceShards),
 			budget:     c.p.cfg.ReplayBudget,
 			replayable: true,
 		}
@@ -120,11 +109,11 @@ func (c *pxConn) handleReduce(req *wire.Request) error {
 		}
 		c.reds[req.ID] = red
 	case red.op != req.Op || red.width != req.Width:
-		c.p.stats.protoErr()
+		c.p.stats.ProtocolError()
 		return fail(wire.StatusBadRequest, 0)
 	}
 	if red.ctx.Err() != nil {
-		c.p.stats.deadline()
+		c.p.stats.DeadlineMiss()
 		return fail(wire.StatusDeadlineExceeded, 0)
 	}
 
@@ -140,8 +129,8 @@ func (c *pxConn) handleReduce(req *wire.Request) error {
 		return fail(status, retryMs)
 	}
 	red.retain(s, req)
-	c.p.stats.reduceChunk()
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
+	c.p.stats.ReduceChunk()
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
 }
 
 // retain appends the chunk to the shard's replay log, dropping all
@@ -275,7 +264,7 @@ func (red *pxReduce) finishShard(c *pxConn, id uint64, s *pxShard, count int, x,
 func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard) error {
 	fail := func(status wire.Status, retryMs uint32) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status, RetryAfterMs: retryMs})
 	}
 	merged := new(exact.Accumulator)
 	for _, sh := range red.shards {
@@ -301,8 +290,8 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 		}
 		merged.Merge(dec)
 	}
-	c.p.stats.reduceChunk()
-	c.p.stats.reduceDone()
+	c.p.stats.ReduceChunk()
+	c.p.stats.ReduceDone()
 	var out []float64
 	if req.M&wire.FlagReduceRaw != 0 {
 		out = merged.EncodeFloats() // proxy-behind-proxy: pass raw upward
@@ -312,16 +301,16 @@ func (c *pxConn) handleReduceFinal(red *pxReduce, req *wire.Request, s *pxShard)
 	deadlined := red.ctx.Err() != nil // read before dropReduction cancels the ctx
 	c.dropReduction(req.ID)
 	if deadlined {
-		c.p.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
+		c.p.stats.DeadlineMiss()
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }
 
 // reduceStatusFor maps a shard failure to the downstream status.
 func (c *pxConn) reduceStatusFor(err error) (wire.Status, uint32) {
 	if errors.Is(err, errReduceFailover) {
-		c.p.stats.overload()
+		c.p.stats.Overload()
 		return wire.StatusOverloaded, 25
 	}
 	return c.statusFor(err)
@@ -344,12 +333,4 @@ func (c *pxConn) dropReduction(id uint64) {
 		}
 	}
 	red.cancel()
-}
-
-// abortAllReductions releases every open stream; called on connection
-// teardown.
-func (c *pxConn) abortAllReductions() {
-	for id := range c.reds {
-		c.dropReduction(id)
-	}
 }

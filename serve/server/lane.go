@@ -52,12 +52,12 @@ func (l *lane) enqueue(p *pending) {
 	l.mu.Lock()
 	if len(l.reqs) >= cfg.QueueDepth {
 		l.mu.Unlock()
-		l.s.stats.overload()
+		l.s.stats.Overload()
 		retry := uint32(cfg.BatchWindow / time.Millisecond)
 		if retry == 0 {
 			retry = 1
 		}
-		p.c.writeResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry}, true)
+		p.c.WriteResponse(&wire.Response{ID: p.id, Status: wire.StatusOverloaded, RetryAfterMs: retry})
 		p.cancel()
 		return
 	}
@@ -227,7 +227,7 @@ func (l *lane) exec(batch []*pending) {
 			expired = true
 		}
 		if expired {
-			l.s.stats.deadline()
+			l.s.stats.DeadlineMiss()
 			byConn[p.c] = append(byConn[p.c], wire.Response{ID: p.id, Status: wire.StatusDeadlineExceeded})
 			p.cancel()
 			continue
@@ -262,10 +262,10 @@ func (l *lane) exec(batch []*pending) {
 	// One writer-lock hold, one counter update, and one flush per touched
 	// connection, however many batch members it contributed.
 	for c, resps := range byConn {
-		c.writeResponses(resps)
+		c.WriteResponses(resps...)
 	}
 	if sb != nil {
-		// Safe to recycle: writeResponses serializes each response's Data
+		// Safe to recycle: WriteResponses serializes each response's Data
 		// into the connection's buffered writer before returning, so no
 		// reference to sb.out survives the loop above.
 		putSoABatch(sb)

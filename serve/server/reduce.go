@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"multifloats/internal/exact"
+	"multifloats/internal/wiresrv"
 	"multifloats/serve/wire"
 )
 
@@ -19,11 +20,6 @@ import (
 // releases the state. Because the accumulator is exact and
 // merge-associative (internal/exact), the response is bit-identical
 // for every chunk split, chunk arrival order, and fold parallelism.
-
-// maxOpenReductions caps concurrent reduction streams per connection so
-// a hostile peer cannot pin unbounded accumulator memory by opening
-// streams it never finishes (each accumulator is ~1 KiB).
-const maxOpenReductions = 256
 
 // The wire protocol promises a raw-final reduction response is exactly
 // one serialized accumulator. wire must not import internal/exact (it
@@ -54,17 +50,17 @@ var accPool = sync.Pool{New: func() any { return new(exact.Accumulator) }}
 func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	fail := func(status wire.Status) error {
 		c.dropReduction(req.ID)
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: status}, true)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: status})
 	}
 	if ctx.Err() != nil {
-		c.s.stats.deadline()
+		c.s.stats.DeadlineMiss()
 		return fail(wire.StatusDeadlineExceeded)
 	}
 	red := c.reds[req.ID]
 	switch {
 	case red == nil:
-		if len(c.reds) >= maxOpenReductions {
-			c.s.stats.protoErr()
+		if len(c.reds) >= wiresrv.MaxOpenReductions {
+			c.s.stats.ProtocolError()
 			return fail(wire.StatusBadRequest)
 		}
 		red = &reduction{op: req.Op, width: req.Width, acc: accPool.Get().(*exact.Accumulator)}
@@ -75,14 +71,14 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	case red.op != req.Op || red.width != req.Width:
 		// Chunks of one stream must agree on shape; a disagreement is a
 		// client bug (or hostility) and poisons the whole stream.
-		c.s.stats.protoErr()
+		c.s.stats.ProtocolError()
 		return fail(wire.StatusBadRequest)
 	}
 
 	foldChunk(red, req, c.s.cfg.Workers)
-	c.s.stats.reduceChunk()
+	c.s.stats.ReduceChunk()
 	if req.M&wire.FlagReduceFinal == 0 {
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK}, true)
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK})
 	}
 
 	delete(c.reds, req.ID)
@@ -98,11 +94,11 @@ func (c *srvConn) handleReduce(ctx context.Context, req *wire.Request) error {
 	}
 	releaseAcc(red.acc)
 	if ctx.Err() != nil {
-		c.s.stats.deadline()
-		return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded}, true)
+		c.s.stats.DeadlineMiss()
+		return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusDeadlineExceeded})
 	}
-	c.s.stats.reduceDone()
-	return c.writeResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out}, true)
+	c.s.stats.ReduceDone()
+	return c.WriteResponse(&wire.Response{ID: req.ID, Status: wire.StatusOK, Data: out})
 }
 
 // foldChunk folds one request's operand slab into the reduction's
@@ -164,15 +160,6 @@ func releaseAcc(a *exact.Accumulator) {
 // malformed continuation) and recycles its accumulator.
 func (c *srvConn) dropReduction(id uint64) {
 	if red, ok := c.reds[id]; ok {
-		delete(c.reds, id)
-		releaseAcc(red.acc)
-	}
-}
-
-// dropAllReductions releases every open stream; called when the
-// connection tears down.
-func (c *srvConn) dropAllReductions() {
-	for id, red := range c.reds {
 		delete(c.reds, id)
 		releaseAcc(red.acc)
 	}
